@@ -34,6 +34,10 @@ std::vector<double> materialise(
 
   const double span =
       std::max(horizon_sec, std::floor(points.back().first) + 1.0);
+  if (span > TraceRate::kMaxSpanSec) {
+    throw std::invalid_argument(
+        "TraceRate: trace spans more than kMaxSpanSec (30 days)");
+  }
   const std::size_t horizon = static_cast<std::size_t>(std::max(span, 1.0));
   std::vector<double> table(horizon, 0.0);
 

@@ -29,10 +29,15 @@ enum class TraceInterp : std::uint8_t {
 
 class TraceRate final : public TabulatedRate {
  public:
+  /// Longest table a trace may span (30 days of per-second rates), so a
+  /// hostile breakpoint time cannot size the table.
+  static constexpr double kMaxSpanSec = 30.0 * 86400.0;
+
   /// Breakpoints must be non-empty, strictly increasing in time, with
   /// finite non-negative times and rates; throws std::invalid_argument
   /// otherwise. The table spans max(horizon_sec, last breakpoint + 1)
-  /// seconds (horizon_sec == 0 means "just cover the trace").
+  /// seconds (horizon_sec == 0 means "just cover the trace"), which must
+  /// not exceed kMaxSpanSec.
   explicit TraceRate(std::vector<std::pair<double, double>> points,
                      TraceInterp interp = TraceInterp::kHold,
                      double horizon_sec = 0.0);

@@ -34,18 +34,6 @@ double mmk_sojourn_time(double arrival_rate, double service_rate,
   return wait + 1.0 / service_rate;
 }
 
-double ggk_sojourn_time(double arrival_rate, double service_rate, int servers,
-                        double arrival_scv, double service_scv) {
-  if (arrival_scv < 0.0 || service_scv < 0.0) {
-    throw std::invalid_argument("ggk_sojourn_time: negative scv");
-  }
-  const double mmk = mmk_sojourn_time(arrival_rate, service_rate, servers);
-  if (std::isinf(mmk)) return mmk;
-  const double service = 1.0 / service_rate;
-  const double wait = mmk - service;
-  return wait * 0.5 * (arrival_scv + service_scv) + service;
-}
-
 DrsPolicy::DrsPolicy(const sim::Topology& topology, DrsParams params)
     : topology_(topology), params_(params) {
   if (params_.target_latency_ms <= 0.0) {
@@ -98,16 +86,10 @@ runtime::Parallelism DrsPolicy::allocate(const runtime::JobMetrics& metrics,
     config[i] = std::clamp(k, 1, params_.max_parallelism);
   }
 
-  const auto sojourn = [&](double lambda, double mu, int k) {
-    return params_.queue_model == QueueModel::kKingman
-               ? ggk_sojourn_time(lambda, mu, k, params_.arrival_scv,
-                                  params_.service_scv)
-               : mmk_sojourn_time(lambda, mu, k);
-  };
   const auto total_latency = [&](const runtime::Parallelism& c) {
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      sum += sojourn(arrival[i], service[i], c[i]);
+      sum += mmk_sojourn_time(arrival[i], service[i], c[i]);
     }
     return sum;
   };

@@ -28,29 +28,12 @@ enum class RateMetric {
   kObservedRate,  ///< Wall-clock rate (includes idle/blocked time).
 };
 
-/// Which queueing approximation predicts per-operator sojourn times.
-enum class QueueModel {
-  /// M/M/k with exact Erlang-C (Poisson arrivals, exponential service).
-  kErlangC,
-  /// G/G/k via the Allen-Cunneen/Kingman approximation: the M/M/k wait
-  /// scaled by (ca^2 + cs^2)/2, for squared coefficients of variation of
-  /// inter-arrival and service times. The paper's related work (Sec. VI)
-  /// cites Kingman's formula as the other queueing-model family used by
-  /// latency-predicting auto-scalers.
-  kKingman,
-};
-
 struct DrsParams {
   double target_latency_ms = 0.0;
   /// Target throughput for propagating arrival rates; <= 0 means the
   /// measured input data rate.
   double target_throughput = 0.0;
   RateMetric rate_metric = RateMetric::kTrueRate;
-  QueueModel queue_model = QueueModel::kErlangC;
-  /// Squared coefficients of variation for kKingman (1, 1 degenerates to
-  /// Erlang-C's waiting time).
-  double arrival_scv = 1.0;
-  double service_scv = 1.0;
   int max_parallelism = 1;
   /// Outer measure-model-allocate iterations.
   int max_iterations = 8;
@@ -72,14 +55,6 @@ struct DrsResult {
 /// Returns +inf when the queue is unstable (rho >= 1).
 [[nodiscard]] double mmk_sojourn_time(double arrival_rate,
                                       double service_rate, int servers);
-
-/// G/G/k sojourn time via Allen-Cunneen: the M/M/k waiting time scaled by
-/// (arrival_scv + service_scv) / 2, plus the service time. Degenerates to
-/// mmk_sojourn_time at scv = 1, 1. Returns +inf when unstable.
-[[nodiscard]] double ggk_sojourn_time(double arrival_rate,
-                                      double service_rate, int servers,
-                                      double arrival_scv,
-                                      double service_scv);
 
 class DrsPolicy {
  public:

@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace autra::core {
 
@@ -68,9 +69,13 @@ ModelLibrary load_library(std::istream& in) {
   bool open = false;
 
   // In-progress gp block of the current model (absent in older files).
+  // Header counts are unvalidated until `end`, so nothing is sized from
+  // them: rows grow as records arrive. The factor's rows are kept packed
+  // (row i has i + 1 entries) until the block is complete.
   std::optional<gp::GpSnapshot> snap;
   std::size_t gp_n = 0, gp_d = 0;
   std::size_t gp_obs_read = 0, gp_rows_read = 0;
+  std::vector<double> gp_l_packed;
   bool gp_box_read = false;
 
   while (std::getline(in, line)) {
@@ -88,9 +93,10 @@ ModelLibrary load_library(std::istream& in) {
       if (!(ss >> current.rate >> n) || current.rate <= 0.0 || n == 0) {
         fail(line_no, "bad model header");
       }
-      current.base.resize(n);
-      for (int& k : current.base) {
+      for (std::size_t i = 0; i < n; ++i) {
+        int k = 0;
         if (!(ss >> k) || k < 1) fail(line_no, "bad base configuration");
+        current.base.push_back(k);
       }
       // Optional trailing kernel name (absent in files written before the
       // kernel was persisted; those default to Matern 5/2).
@@ -127,35 +133,40 @@ ModelLibrary load_library(std::istream& in) {
         fail(line_no, "bad gp header");
       }
       current.max_observations = max_obs;
-      snap->x = linalg::Matrix(gp_n, gp_d);
-      snap->y.assign(gp_n, 0.0);
-      snap->l = linalg::Matrix(gp_n, gp_n);
-      snap->x_lo.clear();
-      snap->x_hi.clear();
       gp_obs_read = gp_rows_read = 0;
+      gp_l_packed.clear();
       gp_box_read = false;
     } else if (tag == "gplo" || tag == "gphi") {
       if (!snap.has_value()) fail(line_no, tag + " outside gp record");
       linalg::Vector& box = tag == "gplo" ? snap->x_lo : snap->x_hi;
       if (!box.empty()) fail(line_no, "duplicate " + tag + " record");
-      box.resize(gp_d);
-      for (double& v : box) {
+      for (std::size_t j = 0; j < gp_d; ++j) {
+        double v = 0.0;
         if (!(ss >> v)) fail(line_no, "bad " + tag + " record");
+        box.push_back(v);
       }
       gp_box_read = !snap->x_lo.empty() && !snap->x_hi.empty();
     } else if (tag == "gpo") {
       if (!snap.has_value()) fail(line_no, "gpo outside gp record");
       if (gp_obs_read >= gp_n) fail(line_no, "too many gpo records");
+      linalg::Vector row;
       for (std::size_t j = 0; j < gp_d; ++j) {
-        if (!(ss >> snap->x(gp_obs_read, j))) fail(line_no, "bad gpo record");
+        double v = 0.0;
+        if (!(ss >> v)) fail(line_no, "bad gpo record");
+        row.push_back(v);
       }
-      if (!(ss >> snap->y[gp_obs_read])) fail(line_no, "bad gpo record");
+      double target = 0.0;
+      if (!(ss >> target)) fail(line_no, "bad gpo record");
+      snap->x.append_row(row);
+      snap->y.push_back(target);
       ++gp_obs_read;
     } else if (tag == "gpl") {
       if (!snap.has_value()) fail(line_no, "gpl outside gp record");
       if (gp_rows_read >= gp_n) fail(line_no, "too many gpl records");
       for (std::size_t j = 0; j <= gp_rows_read; ++j) {
-        if (!(ss >> snap->l(gp_rows_read, j))) fail(line_no, "bad gpl record");
+        double v = 0.0;
+        if (!(ss >> v)) fail(line_no, "bad gpl record");
+        gp_l_packed.push_back(v);
       }
       ++gp_rows_read;
     } else if (tag == "end") {
@@ -164,6 +175,12 @@ ModelLibrary load_library(std::istream& in) {
       if (snap.has_value()) {
         if (!gp_box_read || gp_obs_read != gp_n || gp_rows_read != gp_n) {
           fail(line_no, "incomplete gp record");
+        }
+        snap->l = linalg::Matrix(gp_n, gp_n);
+        for (std::size_t i = 0, e = 0; i < gp_n; ++i) {
+          for (std::size_t j = 0; j <= i; ++j) {
+            snap->l(i, j) = gp_l_packed[e++];
+          }
         }
         gp::GpConfig cfg = current.gp.config();
         cfg.kernel = current.kernel;

@@ -59,7 +59,7 @@ struct SteadyRateParams {
   /// perturb committed golden decision streams.
   bool incremental = false;
   /// Observation-window cap on the surrogate when incremental is set: once
-  /// full, the oldest sample is evicted (O(cap^2) downdate) before the new
+  /// full, the oldest sample is evicted (O(cap^2) drop_first) before the new
   /// one is appended, bounding always-on controller state. 0 = unbounded.
   int max_observations = 0;
 };

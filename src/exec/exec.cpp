@@ -73,8 +73,6 @@ ExecContext::ExecContext(int threads)
 
 namespace detail {
 
-bool in_parallel_region() noexcept { return tl_in_parallel_region; }
-
 void run_indexed(unsigned threads, std::size_t n,
                  const std::function<void(std::size_t)>& body) {
   if (tl_in_parallel_region) {

@@ -59,10 +59,6 @@ class ExecContext {
 
 namespace detail {
 
-/// True while the calling thread is executing inside a parallel region
-/// (caller or worker side) — the nested-region guard.
-[[nodiscard]] bool in_parallel_region() noexcept;
-
 /// Runs body(i) for i in [0, n) on `threads` threads (the caller
 /// participates; up to threads-1 pool workers help). Throws
 /// std::logic_error when called from inside a parallel region.

@@ -383,13 +383,6 @@ Prediction GpRegressor::predict(std::span<const double> x_star) const {
   return p;
 }
 
-std::vector<Prediction> GpRegressor::predict(const linalg::Matrix& x) const {
-  std::vector<Prediction> out;
-  out.reserve(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) out.push_back(predict(x.row(i)));
-  return out;
-}
-
 double GpRegressor::log_marginal_likelihood() const {
   if (!fitted_) {
     throw std::logic_error(

@@ -147,9 +147,6 @@ class GpRegressor {
   /// Throws std::logic_error if called before fit().
   [[nodiscard]] Prediction predict(std::span<const double> x_star) const;
 
-  /// Convenience batch prediction.
-  [[nodiscard]] std::vector<Prediction> predict(const linalg::Matrix& x) const;
-
   /// Log marginal likelihood of the fitted model (on normalised targets).
   [[nodiscard]] double log_marginal_likelihood() const;
 

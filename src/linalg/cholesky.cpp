@@ -63,9 +63,9 @@ Cholesky Cholesky::from_lower(Matrix l) {
 
 namespace {
 
-/// In-place rank-1 update sweep shared by update() and drop_first():
-/// rewrites the lower-triangular `l` into the factor of L L^T + v v^T.
-/// Consumes `v` as scratch.
+/// In-place rank-1 update sweep (standard `cholupdate` Givens rotations)
+/// behind drop_first(): rewrites the lower-triangular `l` into the factor
+/// of L L^T + v v^T. Consumes `v` as scratch.
 void rank1_update_sweep(Matrix& l, Vector& v) {
   const std::size_t n = l.rows();
   for (std::size_t k = 0; k < n; ++k) {
@@ -81,41 +81,6 @@ void rank1_update_sweep(Matrix& l, Vector& v) {
 }
 
 }  // namespace
-
-void Cholesky::update(const Vector& v) {
-  if (v.size() != size()) {
-    throw std::invalid_argument("Cholesky::update: size mismatch");
-  }
-  Vector w = v;
-  rank1_update_sweep(l_, w);
-}
-
-void Cholesky::downdate(const Vector& v) {
-  const std::size_t n = size();
-  if (v.size() != n) {
-    throw std::invalid_argument("Cholesky::downdate: size mismatch");
-  }
-  // Dry-run the hyperbolic sweep on copies: the factor must be left
-  // untouched when A - v v^T loses positive definiteness.
-  Matrix l = l_;
-  Vector w = v;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double r2 = (l(k, k) - w[k]) * (l(k, k) + w[k]);
-    if (!(r2 > 0.0) || !std::isfinite(r2)) {
-      throw std::runtime_error(
-          "Cholesky::downdate: matrix would lose positive definiteness");
-    }
-    const double r = std::sqrt(r2);
-    const double c = r / l(k, k);
-    const double s = w[k] / l(k, k);
-    l(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      l(i, k) = (l(i, k) - s * w[i]) / c;
-      w[i] = c * w[i] - s * l(i, k);
-    }
-  }
-  l_ = std::move(l);
-}
 
 void Cholesky::append_row(const Vector& cross, double diag) {
   const std::size_t n = size();

@@ -34,18 +34,6 @@ class Cholesky {
   /// positive, finite diagonal entries.
   [[nodiscard]] static Cholesky from_lower(Matrix l);
 
-  /// Rank-1 update: after the call this is the factor of A + v v^T, in
-  /// O(n^2) (standard `cholupdate` Givens sweep). Throws
-  /// std::invalid_argument on size mismatch.
-  void update(const Vector& v);
-
-  /// Rank-1 downdate: after the call this is the factor of A - v v^T, in
-  /// O(n^2) (hyperbolic rotations). Throws std::invalid_argument on size
-  /// mismatch and std::runtime_error — leaving the factor untouched — when
-  /// A - v v^T is not positive definite (the result must never be a
-  /// silently NaN-poisoned factor).
-  void downdate(const Vector& v);
-
   /// Factor extension: after the call this is the factor of the bordered
   /// matrix [[A, cross], [cross^T, diag]] — a new observation appended
   /// without refactorising, in O(n^2) (one triangular solve). Throws

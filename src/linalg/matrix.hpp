@@ -39,10 +39,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Bounds-checked element access; throws std::out_of_range.
-  [[nodiscard]] double& at(std::size_t r, std::size_t c);
-  [[nodiscard]] double at(std::size_t r, std::size_t c) const;
-
   /// View of row r as a contiguous span.
   [[nodiscard]] std::span<double> row(std::size_t r) noexcept {
     return {data_.data() + r * cols_, cols_};
@@ -53,25 +49,6 @@ class Matrix {
 
   [[nodiscard]] std::span<double> data() noexcept { return data_; }
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }
-
-  /// Identity matrix of size n.
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
-  [[nodiscard]] Matrix transposed() const;
-
-  /// Matrix product this * rhs. Throws std::invalid_argument on shape
-  /// mismatch.
-  [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
-
-  /// Matrix-vector product. Throws std::invalid_argument on shape mismatch.
-  [[nodiscard]] Vector operator*(const Vector& v) const;
-
-  Matrix& operator+=(const Matrix& rhs);
-  Matrix& operator-=(const Matrix& rhs);
-  Matrix& operator*=(double s) noexcept;
-
-  [[nodiscard]] Matrix operator+(const Matrix& rhs) const;
-  [[nodiscard]] Matrix operator-(const Matrix& rhs) const;
 
   /// Adds `v` to every diagonal element (used for jitter / noise terms).
   void add_diagonal(double v) noexcept;
@@ -96,9 +73,6 @@ class Matrix {
 
 /// Dot product; throws std::invalid_argument on length mismatch.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-
-/// Euclidean norm.
-[[nodiscard]] double norm2(std::span<const double> a) noexcept;
 
 /// Squared Euclidean distance between two equal-length vectors.
 [[nodiscard]] double squared_distance(std::span<const double> a,

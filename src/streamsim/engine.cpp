@@ -9,8 +9,9 @@ namespace autra::sim {
 
 namespace {
 constexpr double kEps = 1e-12;
-/// Placement entries folded per capacity chunk. Fixed so the serial and
-/// sharded refresh paths evaluate the identical partial sums.
+/// Placement entries folded per capacity chunk. The full and the
+/// machine-granular partial refresh share recompute_chunk, so both evaluate
+/// the identical partial sums.
 constexpr std::size_t kCapacityChunk = 1024;
 }  // namespace
 
@@ -44,7 +45,6 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
       interference_(params.interference),
       faults_(cluster_.num_machines()),
       network_(make_network()),
-      exec_(params.threads),
       proc_latency_(4096, params.seed),
       event_latency_(4096, params.seed + 1),
       interval_proc_latency_(1024, params.seed + 2),
@@ -111,10 +111,6 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
     const std::size_t chunks =
         (pl.machine.size() + kCapacityChunk - 1) / kCapacityChunk;
     pl.chunk_sum.assign(chunks, 0.0);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      all_chunks_.emplace_back(static_cast<std::uint32_t>(i),
-                               static_cast<std::uint32_t>(c));
-    }
   }
 
   now_ = params_.start_time;
@@ -330,14 +326,6 @@ double Engine::compute_factor(std::size_t m, double load) const {
          interference_.contention_divisor(load, ms.cores, slow);
 }
 
-bool Engine::use_parallel_refresh() const {
-  // Sharding pays for itself only at platform scale, and worker threads
-  // must never open a nested region (engines run inside Plan-stage
-  // parallel trials — the serial fallback keeps that composition legal).
-  return exec_.threads() > 1 && cluster_.num_machines() >= 512 &&
-         !exec::detail::in_parallel_region();
-}
-
 void Engine::recompute_chunk(std::size_t op, std::size_t c) {
   OpPlacement& pl = placement_[op];
   const double base = base_rate_[op];
@@ -368,13 +356,11 @@ void Engine::fold_capacity(std::size_t op) {
 
 void Engine::full_refresh() {
   ++epoch_stats_.full_refreshes;
-  const exec::ExecContext ctx =
-      use_parallel_refresh() ? exec_ : exec::ExecContext::serial();
 
   // Per-machine busy load (co-tenant background load plus the previous
   // fold's smoothed busy fractions of this job's instances) and the rate
-  // factor it implies. Index-addressed: bit-identical at any thread count.
-  exec::parallel_for(ctx, cluster_.num_machines(), [this](std::size_t m) {
+  // factor it implies.
+  for (std::size_t m = 0; m < cluster_.num_machines(); ++m) {
     double load = machine_bg_[m];
     // Dynamic co-tenant load (multi-tenant coupling). The branch keeps the
     // decoupled sum bitwise identical to the pre-multi-tenant expression.
@@ -384,15 +370,17 @@ void Engine::full_refresh() {
     }
     machine_load_[m] = load;
     machine_factor_[m] = compute_factor(m, load);
-  });
+  }
 
   std::copy(smoothed_busy_.begin(), smoothed_busy_.end(),
             sb_snapshot_.begin());
 
-  exec::parallel_for(ctx, all_chunks_.size(), [this](std::size_t idx) {
-    recompute_chunk(all_chunks_[idx].first, all_chunks_[idx].second);
-  });
-  for (std::size_t i = 0; i < topo_.num_operators(); ++i) fold_capacity(i);
+  for (std::size_t i = 0; i < topo_.num_operators(); ++i) {
+    for (std::size_t c = 0; c < placement_[i].chunk_sum.size(); ++c) {
+      recompute_chunk(i, c);
+    }
+    fold_capacity(i);
+  }
 }
 
 void Engine::refresh_factor(std::size_t m) {

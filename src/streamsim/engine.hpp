@@ -38,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/exec.hpp"
 #include "runtime/job_metrics.hpp"
 #include "streamsim/cluster.hpp"
 #include "streamsim/external_service.hpp"
@@ -110,13 +109,6 @@ struct EngineParams {
   /// fractions cannot force a whole-cluster refold every tick; this is an
   /// explicit approximation and diverges from kTickDriven.
   double load_epsilon = 0.0;
-  /// Threads used to shard epoch cache refreshes over the exec ThreadPool
-  /// (index-addressed, bit-identical at any count). 1 = serial (default:
-  /// engines usually run inside Plan-stage parallel trials, where nested
-  /// regions are forbidden); 0 resolves AUTRA_THREADS/hardware. The engine
-  /// falls back to serial automatically when constructed small or called
-  /// from inside a parallel region.
-  int threads = 1;
 };
 
 /// Aggregated per-operator counters since the last reset_counters().
@@ -317,8 +309,8 @@ class Engine {
 
   /// Static placement of one operator: which machines host how many of its
   /// instances (machine-ascending), plus the chunked partial sums its
-  /// cached capacity folds from. Chunks are fixed-size so the serial and
-  /// sharded refresh paths evaluate the identical expression.
+  /// cached capacity folds from. Chunks are fixed-size so the full and
+  /// partial refresh paths evaluate the identical expression.
   struct OpPlacement {
     std::vector<std::size_t> machine;  ///< Machines hosting >= 1 instance.
     std::vector<double> count;         ///< Instances on machine[e].
@@ -367,7 +359,6 @@ class Engine {
   /// limits through the network, cohort movement, busy accounting.
   void run_operator(std::size_t i, double t, double dt, bool suspended,
                     double floor, double& tick_busy_core_seconds);
-  [[nodiscard]] bool use_parallel_refresh() const;
 
   /// Every gauge the engine emits, pre-resolved against one sink at
   /// attach time — the per-tick write path performs no string work.
@@ -394,7 +385,6 @@ class Engine {
   FaultTimeline faults_;
   /// Flow-level rack/uplink network; owns the partition cut masks.
   NetworkModel network_;
-  exec::ExecContext exec_;
 
   std::vector<std::size_t> topo_order_;
   std::vector<OperatorState> state_;
@@ -417,8 +407,6 @@ class Engine {
   std::vector<OpPlacement> placement_;
   /// machine -> (operator, instance count) pairs, operator-ascending.
   std::vector<std::vector<std::pair<std::size_t, double>>> machine_ops_;
-  /// All (op, chunk) pairs, flattened for the sharded full refresh.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> all_chunks_;
   std::vector<std::size_t> dirty_ops_;  ///< Scratch for partial refresh.
   std::size_t hot_machine_ = 0;         ///< Placement of instance 0.
 

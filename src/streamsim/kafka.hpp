@@ -26,10 +26,6 @@ class KafkaLog {
   /// JobSpec/workload that built it — no clone at engine construction.
   explicit KafkaLog(std::shared_ptr<const RateSchedule> schedule);
 
-  [[deprecated(
-      "pass a shared_ptr<const RateSchedule>; KafkaLog never mutates the "
-      "schedule")]] explicit KafkaLog(std::unique_ptr<RateSchedule> schedule);
-
   /// Appends `schedule.rate_at(t) * dt` records produced during [t, t+dt).
   void produce(double t, double dt);
 

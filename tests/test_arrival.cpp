@@ -277,6 +277,20 @@ TEST(Trace, ParseErrorsNameTheLine) {
   }
   std::istringstream shuffled("10 100\n5 200\n");
   EXPECT_THROW((void)TraceRate::parse(shuffled, "x"), std::runtime_error);
+
+  // A huge breakpoint time must not size the table: 1e13 seconds would
+  // exhaust memory, 1e300 overflows the double -> size_t cast.
+  for (const char* last : {"1e13", "1e300"}) {
+    std::istringstream huge(std::string("0 100\n") + last + " 200\n");
+    try {
+      (void)TraceRate::parse(huge, "huge.trace");
+      FAIL() << "expected std::runtime_error for " << last;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("huge.trace: ", 0), 0u) << what;
+      EXPECT_NE(what.find("spans more than"), std::string::npos) << what;
+    }
+  }
 }
 
 // -------------------------------------------------- determinism sweeps --

@@ -133,51 +133,6 @@ TEST(Ds2, WordCountConverges) {
   EXPECT_LE(r.iterations, 4);
 }
 
-TEST(GgkSojourn, DegeneratesToErlangAtUnitScv) {
-  EXPECT_NEAR(ggk_sojourn_time(90.0, 100.0, 1, 1.0, 1.0),
-              mmk_sojourn_time(90.0, 100.0, 1), 1e-12);
-  EXPECT_NEAR(ggk_sojourn_time(150.0, 100.0, 3, 1.0, 1.0),
-              mmk_sojourn_time(150.0, 100.0, 3), 1e-12);
-}
-
-TEST(GgkSojourn, VariabilityScalesWaitingOnly) {
-  // Doubling the summed scv doubles the waiting component, never the
-  // service time.
-  const double base = mmk_sojourn_time(90.0, 100.0, 1);
-  const double service = 1.0 / 100.0;
-  const double bursty = ggk_sojourn_time(90.0, 100.0, 1, 2.0, 2.0);
-  EXPECT_NEAR(bursty - service, 2.0 * (base - service), 1e-12);
-  // Deterministic arrivals/service (scv 0) eliminate waiting entirely.
-  EXPECT_NEAR(ggk_sojourn_time(90.0, 100.0, 1, 0.0, 0.0), service, 1e-12);
-}
-
-TEST(GgkSojourn, Validation) {
-  EXPECT_TRUE(std::isinf(ggk_sojourn_time(200.0, 100.0, 1, 1.0, 1.0)));
-  EXPECT_THROW(ggk_sojourn_time(1.0, 2.0, 1, -1.0, 1.0),
-               std::invalid_argument);
-}
-
-TEST(Drs, KingmanModelAllocatesMoreUnderBurstiness) {
-  // With bursty arrivals (scv 4) the Kingman variant predicts longer
-  // waits, so it must allocate at least as many instances as Erlang-C for
-  // the same target.
-  const sim::Topology t = chain();
-  const JobMetrics m = metrics_with_rates({1, 1, 1}, 600.0, 500.0, 1000.0);
-  const DrsPolicy erlang(t, {.target_latency_ms = 8.0,
-                             .target_throughput = 1000.0,
-                             .max_parallelism = 30});
-  const DrsPolicy kingman(t, {.target_latency_ms = 8.0,
-                              .target_throughput = 1000.0,
-                              .queue_model = QueueModel::kKingman,
-                              .arrival_scv = 4.0,
-                              .service_scv = 1.0,
-                              .max_parallelism = 30});
-  int total_erlang = 0, total_kingman = 0;
-  for (int k : erlang.allocate(m)) total_erlang += k;
-  for (int k : kingman.allocate(m)) total_kingman += k;
-  EXPECT_GE(total_kingman, total_erlang);
-}
-
 TEST(Drs, Validation) {
   const sim::Topology t = chain();
   EXPECT_THROW(DrsPolicy(t, {.target_latency_ms = 0.0, .max_parallelism = 4}),

@@ -285,20 +285,6 @@ TEST(GpRegressor, CopyIsDeepAndIndependent) {
                    before.mean);
 }
 
-TEST(GpRegressor, BatchPredictMatchesPointwise) {
-  Matrix x{{0.0}, {2.0}, {5.0}};
-  Vector y{1.0, -1.0, 0.5};
-  GpRegressor gp;
-  gp.fit(x, y);
-  const auto batch = gp.predict(x);
-  ASSERT_EQ(batch.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    const Prediction p = gp.predict(x.row(i));
-    EXPECT_DOUBLE_EQ(batch[i].mean, p.mean);
-    EXPECT_DOUBLE_EQ(batch[i].variance, p.variance);
-  }
-}
-
 // Property: the regressor stays numerically healthy across kernels and
 // dimensions on random data.
 class GpRegressorProperty

@@ -3,6 +3,8 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -208,9 +210,16 @@ TEST(ModelIo, CommentsAndBlankLinesIgnored) {
 }
 
 TEST(ModelIo, MalformedInputThrows) {
+  // Every rejection is the typed parse error naming the line.
   const auto expect_bad = [](const std::string& text) {
     std::stringstream in(text);
-    EXPECT_THROW((void)load_library(in), std::runtime_error) << text;
+    try {
+      (void)load_library(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("load_library: line ", 0), 0u)
+          << e.what();
+    }
   };
   expect_bad("sample 1 2 0.5\n");                    // sample before model
   expect_bad("model 0 1 1\nsample 1 0.5\nend\n");    // non-positive rate
@@ -220,6 +229,7 @@ TEST(ModelIo, MalformedInputThrows) {
   expect_bad("model 1000 1 1\nsample 1 0.5\n");      // unterminated
   expect_bad("bogus 1 2 3\n");                       // unknown record
   expect_bad("model 1000 1 0\nsample 1 0.5\nend\n"); // base below 1
+  expect_bad("model 100 1000000000000\n");           // huge operator count
 
   // GP-block grammar violations.
   const std::string open = "model 1000 1 2\nsample 2 0.5\n";
@@ -229,6 +239,9 @@ TEST(ModelIo, MalformedInputThrows) {
   expect_bad(open + "gpl 1\nend\n");                 // gpl outside gp
   expect_bad(open + "gp 1 0.5\nend\n");              // short gp header
   expect_bad(open + "gp 1 0.5 0.1 0 0 0 0 1\nend\n");  // zero rows
+  expect_bad(open +
+             "gp 1 0.5 0.1 0 0 0 1000000000000 1\n"
+             "gplo 1\ngphi 3\ngpo 2 0.5\ngpl 1\nend\n");  // huge row count
   expect_bad(open + "gp 1 0.5 0.1 0 0 0 1 1\nend\n");  // incomplete block
   expect_bad(open +
              "gp 1 0.5 0.1 0 0 0 1 1\n"
