@@ -45,10 +45,6 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
       interference_(params.interference),
       faults_(cluster_.num_machines()),
       network_(make_network()),
-      proc_latency_(4096, params.seed),
-      event_latency_(4096, params.seed + 1),
-      interval_proc_latency_(1024, params.seed + 2),
-      interval_event_latency_(1024, params.seed + 3),
       rng_(params.seed) {
   const std::size_t num_ops = topo_.num_operators();
   const std::size_t num_machines = cluster_.num_machines();
@@ -503,13 +499,13 @@ void Engine::run_operator(std::size_t i, double t, double dt, bool suspended,
   }
 
   // --- Move cohorts ----------------------------------------------------
-  std::vector<QueueCohort> taken;
+  taken_.clear();
   if (spec.kind == OperatorKind::kSource) {
     for (const LogCohort& c : kafka_->consume(processed)) {
-      taken.push_back({c.mass, c.produced_time, t + dt});
+      taken_.push_back({c.mass, c.produced_time, t + dt});
     }
     double ingested = 0.0;
-    for (const QueueCohort& c : taken) ingested += c.mass;
+    for (const QueueCohort& c : taken_) ingested += c.mass;
     st.counters.records_in += ingested;
     st.interval.records_in += ingested;
     window_consumed_ += ingested;
@@ -521,10 +517,10 @@ void Engine::run_operator(std::size_t i, double t, double dt, bool suspended,
       if (head.mass <= remaining + kEps) {
         remaining -= head.mass;
         queue_mass_[i] -= head.mass;
-        taken.push_back(head);
+        taken_.push_back(head);
         st.queue.pop_front();
       } else {
-        taken.push_back({remaining, head.produced_time, head.ingested_time});
+        taken_.push_back({remaining, head.produced_time, head.ingested_time});
         head.mass -= remaining;
         queue_mass_[i] -= remaining;
         remaining = 0.0;
@@ -534,12 +530,12 @@ void Engine::run_operator(std::size_t i, double t, double dt, bool suspended,
   }
 
   double actually_processed = 0.0;
-  for (const QueueCohort& c : taken) actually_processed += c.mass;
+  for (const QueueCohort& c : taken_) actually_processed += c.mass;
 
   // --- Emit or complete -------------------------------------------------
   const bool terminal = down.empty();
   double emitted = 0.0;
-  for (const QueueCohort& c : taken) {
+  for (const QueueCohort& c : taken_) {
     if (terminal) {
       const double done = t + dt;
       // Mean-one lognormal dispersion of the processing latency; the

@@ -264,7 +264,7 @@ class Engine {
   [[nodiscard]] const LatencyStats& processing_latency() const noexcept {
     return proc_latency_;
   }
-  [[nodiscard]] const LatencyStats& event_latency() const noexcept {
+  [[nodiscard]] const LatencyMean& event_latency() const noexcept {
     return event_latency_;
   }
 
@@ -408,6 +408,7 @@ class Engine {
   /// machine -> (operator, instance count) pairs, operator-ascending.
   std::vector<std::vector<std::pair<std::size_t, double>>> machine_ops_;
   std::vector<std::size_t> dirty_ops_;  ///< Scratch for partial refresh.
+  std::vector<QueueCohort> taken_;      ///< Scratch for run_operator().
   std::size_t hot_machine_ = 0;         ///< Placement of instance 0.
 
   bool caches_primed_ = false;
@@ -418,8 +419,8 @@ class Engine {
   MetricIdSet metric_ids_;
   runtime::MetricSink* external_metrics_ = nullptr;
   MetricIdSet external_ids_;
-  LatencyStats proc_latency_;
-  LatencyStats event_latency_;
+  LatencyStats proc_latency_;   ///< The only latency with quantiles.
+  LatencyMean event_latency_;
 
   double now_ = 0.0;
   double suspended_until_ = 0.0;
@@ -431,8 +432,8 @@ class Engine {
   double interval_consumed_ = 0.0;
   double interval_busy_core_seconds_ = 0.0;
   double interval_start_ = 0.0;
-  LatencyStats interval_proc_latency_;
-  LatencyStats interval_event_latency_;
+  LatencyMean interval_proc_latency_;
+  LatencyMean interval_event_latency_;
   bool started_ = false;
   std::mt19937_64 rng_;
 };

@@ -78,6 +78,11 @@ void expect_bit_identical(const sim::Engine& a, const sim::Engine& b,
   ASSERT_EQ(a.congestion_delay_sec(), b.congestion_delay_sec()) << ctx;
   ASSERT_EQ(a.processing_latency().mean(), b.processing_latency().mean())
       << ctx;
+  for (const double q : {0.5, 0.95, 0.99}) {
+    ASSERT_EQ(a.processing_latency().quantile(q),
+              b.processing_latency().quantile(q))
+        << ctx << " q=" << q;
+  }
   ASSERT_EQ(a.event_latency().total_mass(), b.event_latency().total_mass())
       << ctx;
 }
