@@ -27,7 +27,6 @@ class SearchSpace {
 
   [[nodiscard]] std::size_t dims() const noexcept { return lower_.size(); }
   [[nodiscard]] const Config& lower() const noexcept { return lower_; }
-  [[nodiscard]] const Config& upper() const noexcept { return upper_; }
 
   [[nodiscard]] bool contains(const Config& c) const noexcept;
 

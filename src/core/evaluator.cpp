@@ -1,31 +1,16 @@
 #include "core/evaluator.hpp"
 
-#include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 
 #include "streamsim/job_runner.hpp"
 
 namespace autra::core {
 
 Evaluator make_runner_evaluator(const sim::JobRunner& runner) {
-  // Per-config deterministic salts (plus a rerun counter so repeating a
-  // config draws fresh noise): results depend only on *what* is measured
-  // and how many times, never on the order concurrent evaluations land in.
-  struct Reruns {
-    std::mutex mu;
-    std::map<runtime::Parallelism, std::uint64_t> counts;
-  };
-  auto reruns = std::make_shared<Reruns>();
-  return [&runner, reruns](const runtime::Parallelism& p) {
-    std::uint64_t rerun = 0;
-    {
-      const std::lock_guard<std::mutex> lock(reruns->mu);
-      rerun = reruns->counts[p]++;
-    }
-    return runner.measure(p, runtime::trial_seed_salt(p) + rerun);
-  };
+  // Non-owning aliasing pointer: the caller keeps `runner` alive.
+  return sim::make_rerun_evaluator(
+      std::shared_ptr<const sim::JobRunner>(
+          std::shared_ptr<const sim::JobRunner>(), &runner));
 }
 
 }  // namespace autra::core

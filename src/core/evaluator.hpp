@@ -18,11 +18,9 @@ namespace autra::core {
 
 using Evaluator = runtime::Evaluator;
 
-/// Evaluator backed by fresh-start JobRunner::measure calls. Each call's
-/// noise salt derives from the configuration measured plus a per-config
-/// rerun counter (runtime::trial_seed_salt), so repeated evaluations
-/// differ like real reruns while staying independent of the order calls
-/// are issued in — safe for concurrent use from the Plan stage.
+/// sim::make_rerun_evaluator over `runner`, which must outlive the
+/// returned evaluator: per-config rerun-salted fresh-start measurements,
+/// safe for concurrent use from the Plan stage.
 [[nodiscard]] Evaluator make_runner_evaluator(const sim::JobRunner& runner);
 
 }  // namespace autra::core

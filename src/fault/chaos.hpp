@@ -107,10 +107,6 @@ class ChaosGenerator {
   /// seed is bit-identical, different seeds decorrelate.
   [[nodiscard]] FaultSchedule generate(std::uint64_t seed) const;
 
-  [[nodiscard]] const ChaosProfile& profile() const noexcept {
-    return profile_;
-  }
-
   /// The event classes actually drawable under this profile (positive
   /// weight and structurally possible), in draw order — exposed so tests
   /// can assert the gating logic.

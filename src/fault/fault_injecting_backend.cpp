@@ -37,32 +37,7 @@ void FaultInjectingBackend::deliver_host_faults() {
         "the inner backend does not implement fault::FaultHost");
   }
   for (const FaultEvent& e : schedule_.events()) {
-    switch (e.kind) {
-      case FaultKind::kMachineDown:
-        host->host_machine_down(e.machine, e.at, e.end(),
-                                e.detection_delay_sec);
-        break;
-      case FaultKind::kSlowNode:
-        host->host_slow_node(e.machine, e.magnitude, e.at, e.end());
-        break;
-      case FaultKind::kServiceOutage:
-        host->host_service_outage(e.service, e.at, e.end());
-        break;
-      case FaultKind::kIngestStall:
-        host->host_ingest_stall(e.at, e.end());
-        break;
-      case FaultKind::kRackDown:
-        host->host_rack_down(e.machines, e.at, e.end(),
-                             e.detection_delay_sec);
-        break;
-      case FaultKind::kNetworkPartition:
-        host->host_network_partition(e.machines, e.at, e.end());
-        break;
-      case FaultKind::kMetricDropout:
-      case FaultKind::kMetricDelay:
-      case FaultKind::kRescaleFailure:
-        break;  // Handled by the decorator itself.
-    }
+    if (is_host_fault(e.kind)) host->host_fault(e);
   }
 }
 

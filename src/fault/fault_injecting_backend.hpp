@@ -10,9 +10,9 @@
 //   - Execute path (kRescaleFailure): reconfigure() throws
 //     runtime::RescaleFailed while a failure window is active and its
 //     failure budget lasts;
-//   - engine level (machine down, slow node, service outage, ingest
-//     stall): delivered once, at construction, to the inner backend via
-//     the FaultHost interface.
+//   - engine level (every kind is_host_fault accepts): each event is
+//     delivered once, at construction, to the inner backend via
+//     FaultHost::host_fault.
 //
 // With an empty schedule the decorator is observationally transparent and
 // zero-cost: every call forwards, and history() returns the inner store
@@ -51,9 +51,6 @@ class FaultInjectingBackend final : public runtime::StreamingBackend {
   }
   [[nodiscard]] int restarts() const override { return inner_.restarts(); }
 
-  [[nodiscard]] const FaultSchedule& schedule() const noexcept {
-    return schedule_;
-  }
   /// reconfigure() calls the schedule made fail so far.
   [[nodiscard]] int failed_rescales() const noexcept {
     return failed_rescales_;

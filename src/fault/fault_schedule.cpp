@@ -213,12 +213,7 @@ bool FaultSchedule::has_metric_faults() const noexcept {
 
 bool FaultSchedule::has_host_faults() const noexcept {
   return std::any_of(events_.begin(), events_.end(), [](const FaultEvent& e) {
-    return e.kind == FaultKind::kMachineDown ||
-           e.kind == FaultKind::kSlowNode ||
-           e.kind == FaultKind::kServiceOutage ||
-           e.kind == FaultKind::kIngestStall ||
-           e.kind == FaultKind::kRackDown ||
-           e.kind == FaultKind::kNetworkPartition;
+    return is_host_fault(e.kind);
   });
 }
 

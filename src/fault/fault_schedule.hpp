@@ -1,5 +1,5 @@
-// Deterministic fault injection: the event taxonomy and the seedable
-// schedule that drives it.
+// Deterministic fault injection: the seedable schedule of FaultEvents
+// (the taxonomy itself lives in fault_host.hpp).
 //
 // The paper's MAPE loop assumes a healthy cluster — metrics always arrive,
 // restarts always succeed, machines never die. Production does not. A
@@ -17,48 +17,11 @@
 #include <string_view>
 #include <vector>
 
+#include "fault/fault_host.hpp"
+
 namespace autra::fault {
 
-/// The failure classes the subsystem can create (StreamShield's taxonomy
-/// for Flink-at-scale, adapted to this repository's observables).
-enum class FaultKind {
-  kMachineDown,     ///< Task-manager loss: instances gone until recovery.
-  kSlowNode,        ///< Degraded machine (co-tenant burst, failing disk).
-  kServiceOutage,   ///< External (Redis-like) service unreachable.
-  kIngestStall,     ///< Source cannot fetch from Kafka; lag accumulates.
-  kMetricDropout,   ///< Gauges in the window are lost, never delivered.
-  kMetricDelay,     ///< Gauges arrive late (stalled metrics pipeline).
-  kRescaleFailure,  ///< reconfigure() fails transiently (savepoint timeout).
-  kRackDown,        ///< Correlated crash: a rack's machines die together.
-  kNetworkPartition,  ///< Machines split; cross-cut operator edges stall.
-};
-
 [[nodiscard]] const char* to_string(FaultKind kind) noexcept;
-
-/// One fault, active during [at, at + duration).
-struct FaultEvent {
-  FaultKind kind = FaultKind::kMachineDown;
-  double at = 0.0;
-  double duration = 0.0;
-  /// kMachineDown / kSlowNode: which machine.
-  std::size_t machine = 0;
-  /// kSlowNode: speed factor in (0, 1); kMetricDelay: delay seconds;
-  /// kRescaleFailure: number of attempts that fail (0 = every attempt in
-  /// the window).
-  double magnitude = 0.0;
-  /// kMachineDown / kRackDown: seconds from the crash until the framework
-  /// notices and forces a restart (one restart per event, even for a rack).
-  double detection_delay_sec = 0.0;
-  /// kServiceOutage: which service.
-  std::string service;
-  /// kRackDown: the machines crashing together; kNetworkPartition: the
-  /// island cut off from the rest of the cluster.
-  std::vector<std::size_t> machines;
-
-  [[nodiscard]] double end() const noexcept { return at + duration; }
-
-  friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
-};
 
 /// An ordered, validated collection of fault events. Immutable once handed
 /// to a backend; the builder methods return *this for chaining.
@@ -104,7 +67,7 @@ class FaultSchedule {
   /// decorator only mirrors the history when this holds, so an empty or
   /// metric-clean schedule keeps history() a zero-cost passthrough.
   [[nodiscard]] bool has_metric_faults() const noexcept;
-  /// True if any event must be delivered to a FaultHost (engine-level).
+  /// True if any event must be delivered to a FaultHost (is_host_fault).
   [[nodiscard]] bool has_host_faults() const noexcept;
 
   /// End of the last fault window, including machine-down detection

@@ -152,7 +152,6 @@ class GpRegressor {
 
   [[nodiscard]] bool is_fitted() const noexcept { return fitted_; }
   [[nodiscard]] std::size_t num_samples() const noexcept { return x_.rows(); }
-  [[nodiscard]] std::size_t input_dim() const noexcept { return x_.cols(); }
   [[nodiscard]] const Kernel& kernel() const { return *kernel_; }
   [[nodiscard]] const GpConfig& config() const noexcept { return config_; }
   /// Which update paths ran over this model's lifetime.

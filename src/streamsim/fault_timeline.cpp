@@ -8,17 +8,7 @@ namespace autra::sim {
 
 namespace {
 
-/// Stable sort of event indices by window start.
-template <typename Event>
-std::vector<std::size_t> order_by_from(const std::vector<Event>& events) {
-  std::vector<std::size_t> order(events.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return events[a].from < events[b].from;
-                   });
-  return order;
-}
+using fault::FaultKind;
 
 void check_window(double from, double until, const char* what) {
   if (until <= from) {
@@ -34,14 +24,22 @@ FaultTimeline::FaultTimeline(std::size_t num_machines)
       down_count_(num_machines, 0),
       slow_active_(num_machines) {}
 
+void FaultTimeline::add(Event event) {
+  events_.push_back(std::move(event));
+  dirty_ = true;
+}
+
 void FaultTimeline::add_slowdown(std::size_t machine, double factor,
                                  double from, double until) {
   check_window(from, until, "slowdown");
   if (machine >= num_machines_ || factor <= 0.0) {
     throw std::invalid_argument("FaultTimeline: bad slowdown event");
   }
-  slow_.push_back({machine, factor, from, until});
-  dirty_ = true;
+  add({.kind = FaultKind::kSlowNode,
+       .from = from,
+       .until = until,
+       .index = machine,
+       .factor = factor});
 }
 
 void FaultTimeline::add_machine_down(std::size_t machine, double from,
@@ -50,14 +48,15 @@ void FaultTimeline::add_machine_down(std::size_t machine, double from,
   if (machine >= num_machines_) {
     throw std::invalid_argument("FaultTimeline: bad machine index");
   }
-  down_.push_back({machine, from, until});
-  dirty_ = true;
+  add({.kind = FaultKind::kMachineDown,
+       .from = from,
+       .until = until,
+       .index = machine});
 }
 
 void FaultTimeline::add_ingest_stall(double from, double until) {
   check_window(from, until, "ingest-stall");
-  stall_.push_back({from, until});
-  dirty_ = true;
+  add({.kind = FaultKind::kIngestStall, .from = from, .until = until});
 }
 
 void FaultTimeline::add_service_outage(std::string service, double from,
@@ -66,29 +65,30 @@ void FaultTimeline::add_service_outage(std::string service, double from,
   if (service.empty()) {
     throw std::invalid_argument("FaultTimeline: empty service name");
   }
-  outage_.push_back({std::move(service), from, until});
-  dirty_ = true;
+  add({.kind = FaultKind::kServiceOutage,
+       .from = from,
+       .until = until,
+       .service = std::move(service)});
 }
 
 std::size_t FaultTimeline::add_partition(double from, double until) {
   check_window(from, until, "partition");
-  part_.push_back({from, until});
-  dirty_ = true;
-  return part_.size() - 1;
+  add({.kind = FaultKind::kNetworkPartition,
+       .from = from,
+       .until = until,
+       .index = num_partitions_});
+  return num_partitions_++;
 }
 
 void FaultTimeline::rebuild() {
-  slow_order_ = order_by_from(slow_);
-  down_order_ = order_by_from(down_);
-  stall_order_ = order_by_from(stall_);
-  outage_order_ = order_by_from(outage_);
-  part_order_ = order_by_from(part_);
-  slow_next_ = down_next_ = stall_next_ = outage_next_ = part_next_ = 0;
-  slow_expiry_ = {};
-  down_expiry_ = {};
-  stall_expiry_ = {};
-  outage_expiry_ = {};
-  part_expiry_ = {};
+  order_.resize(events_.size());
+  for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return events_[a].from < events_[b].from;
+                   });
+  next_ = 0;
+  expiry_ = {};
   std::fill(down_count_.begin(), down_count_.end(), 0);
   for (auto& active : slow_active_) active.clear();
   stall_count_ = 0;
@@ -96,6 +96,49 @@ void FaultTimeline::rebuild() {
   part_active_.clear();
   dirty_ = false;
   started_ = false;
+}
+
+void FaultTimeline::toggle(std::size_t idx, bool open) {
+  const Event& e = events_[idx];
+  const int step = open ? 1 : -1;
+  switch (e.kind) {
+    case FaultKind::kSlowNode: {
+      std::vector<std::size_t>& active = slow_active_[e.index];
+      const auto pos = std::lower_bound(active.begin(), active.end(), idx);
+      if (open) {
+        active.insert(pos, idx);
+      } else {
+        active.erase(pos);
+      }
+      delta_.machines.push_back(e.index);
+      break;
+    }
+    case FaultKind::kMachineDown:
+      down_count_[e.index] += step;
+      delta_.machines.push_back(e.index);
+      break;
+    case FaultKind::kIngestStall:
+      stall_count_ += step;
+      break;
+    case FaultKind::kServiceOutage:
+      outage_count_[e.service] += step;
+      break;
+    case FaultKind::kNetworkPartition: {
+      const auto pos =
+          std::lower_bound(part_active_.begin(), part_active_.end(), e.index);
+      if (open) {
+        part_active_.insert(pos, e.index);
+      } else {
+        part_active_.erase(pos);
+      }
+      break;
+    }
+    case FaultKind::kMetricDropout:
+    case FaultKind::kMetricDelay:
+    case FaultKind::kRescaleFailure:
+    case FaultKind::kRackDown:
+      break;  // Never registered: the add_* methods create none of these.
+  }
 }
 
 const FaultTimeline::Delta& FaultTimeline::advance_to(double t) {
@@ -113,68 +156,15 @@ const FaultTimeline::Delta& FaultTimeline::advance_to(double t) {
   // (net zero), which keeps the two phases order-independent. Machine
   // deltas are still reported for such events — a spurious entry costs the
   // caller one redundant refresh, a missed one would corrupt its caches.
-  while (slow_next_ < slow_order_.size() &&
-         slow_[slow_order_[slow_next_]].from <= t) {
-    const std::size_t idx = slow_order_[slow_next_++];
-    std::vector<std::size_t>& active = slow_active_[slow_[idx].machine];
-    active.insert(std::lower_bound(active.begin(), active.end(), idx), idx);
-    slow_expiry_.emplace(slow_[idx].until, idx);
-    delta_.machines.push_back(slow_[idx].machine);
+  while (next_ < order_.size() && events_[order_[next_]].from <= t) {
+    const std::size_t idx = order_[next_++];
+    toggle(idx, true);
+    expiry_.emplace(events_[idx].until, idx);
   }
-  while (!slow_expiry_.empty() && slow_expiry_.top().first <= t) {
-    const std::size_t idx = slow_expiry_.top().second;
-    slow_expiry_.pop();
-    std::vector<std::size_t>& active = slow_active_[slow_[idx].machine];
-    active.erase(std::lower_bound(active.begin(), active.end(), idx));
-    delta_.machines.push_back(slow_[idx].machine);
-  }
-
-  while (down_next_ < down_order_.size() &&
-         down_[down_order_[down_next_]].from <= t) {
-    const std::size_t idx = down_order_[down_next_++];
-    ++down_count_[down_[idx].machine];
-    down_expiry_.emplace(down_[idx].until, idx);
-    delta_.machines.push_back(down_[idx].machine);
-  }
-  while (!down_expiry_.empty() && down_expiry_.top().first <= t) {
-    delta_.machines.push_back(down_[down_expiry_.top().second].machine);
-    --down_count_[down_[down_expiry_.top().second].machine];
-    down_expiry_.pop();
-  }
-
-  while (stall_next_ < stall_order_.size() &&
-         stall_[stall_order_[stall_next_]].from <= t) {
-    stall_expiry_.emplace(stall_[stall_order_[stall_next_++]].until, 0);
-    ++stall_count_;
-  }
-  while (!stall_expiry_.empty() && stall_expiry_.top().first <= t) {
-    --stall_count_;
-    stall_expiry_.pop();
-  }
-
-  while (outage_next_ < outage_order_.size() &&
-         outage_[outage_order_[outage_next_]].from <= t) {
-    const std::size_t idx = outage_order_[outage_next_++];
-    ++outage_count_[outage_[idx].service];
-    outage_expiry_.emplace(outage_[idx].until, idx);
-  }
-  while (!outage_expiry_.empty() && outage_expiry_.top().first <= t) {
-    --outage_count_[outage_[outage_expiry_.top().second].service];
-    outage_expiry_.pop();
-  }
-
-  while (part_next_ < part_order_.size() &&
-         part_[part_order_[part_next_]].from <= t) {
-    const std::size_t idx = part_order_[part_next_++];
-    part_active_.insert(
-        std::lower_bound(part_active_.begin(), part_active_.end(), idx), idx);
-    part_expiry_.emplace(part_[idx].until, idx);
-  }
-  while (!part_expiry_.empty() && part_expiry_.top().first <= t) {
-    const std::size_t idx = part_expiry_.top().second;
-    part_expiry_.pop();
-    part_active_.erase(
-        std::lower_bound(part_active_.begin(), part_active_.end(), idx));
+  while (!expiry_.empty() && expiry_.top().first <= t) {
+    const std::size_t idx = expiry_.top().second;
+    expiry_.pop();
+    toggle(idx, false);
   }
   // A rebuild already tells the caller to refresh everything; the machine
   // entries the catch-up loops above pushed would only duplicate that.
@@ -184,7 +174,7 @@ const FaultTimeline::Delta& FaultTimeline::advance_to(double t) {
 
 double FaultTimeline::slowdown_factor(std::size_t machine) const noexcept {
   double factor = 1.0;
-  for (std::size_t idx : slow_active_[machine]) factor *= slow_[idx].factor;
+  for (std::size_t idx : slow_active_[machine]) factor *= events_[idx].factor;
   return factor;
 }
 
@@ -195,8 +185,10 @@ bool FaultTimeline::service_out(const std::string& service) const noexcept {
 
 bool FaultTimeline::machine_down_linear(std::size_t machine,
                                         double t) const noexcept {
-  for (const DownEvent& e : down_) {
-    if (e.machine == machine && t >= e.from && t < e.until) return true;
+  for (const Event& e : events_) {
+    if (open_at(e, FaultKind::kMachineDown, t) && e.index == machine) {
+      return true;
+    }
   }
   return false;
 }
@@ -204,8 +196,8 @@ bool FaultTimeline::machine_down_linear(std::size_t machine,
 double FaultTimeline::slowdown_factor_linear(std::size_t machine,
                                              double t) const noexcept {
   double factor = 1.0;
-  for (const SlowEvent& e : slow_) {
-    if (e.machine == machine && t >= e.from && t < e.until) {
+  for (const Event& e : events_) {
+    if (open_at(e, FaultKind::kSlowNode, t) && e.index == machine) {
       factor *= e.factor;
     }
   }
@@ -213,16 +205,18 @@ double FaultTimeline::slowdown_factor_linear(std::size_t machine,
 }
 
 bool FaultTimeline::ingest_stalled_linear(double t) const noexcept {
-  for (const Window& w : stall_) {
-    if (t >= w.from && t < w.until) return true;
+  for (const Event& e : events_) {
+    if (open_at(e, FaultKind::kIngestStall, t)) return true;
   }
   return false;
 }
 
 bool FaultTimeline::service_out_linear(const std::string& service,
                                        double t) const noexcept {
-  for (const OutageEvent& e : outage_) {
-    if (t >= e.from && t < e.until && e.service == service) return true;
+  for (const Event& e : events_) {
+    if (open_at(e, FaultKind::kServiceOutage, t) && e.service == service) {
+      return true;
+    }
   }
   return false;
 }
@@ -230,8 +224,10 @@ bool FaultTimeline::service_out_linear(const std::string& service,
 std::vector<std::size_t> FaultTimeline::active_partitions_linear(
     double t) const {
   std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < part_.size(); ++i) {
-    if (t >= part_[i].from && t < part_[i].until) active.push_back(i);
+  for (const Event& e : events_) {
+    if (open_at(e, FaultKind::kNetworkPartition, t)) {
+      active.push_back(e.index);
+    }
   }
   return active;
 }

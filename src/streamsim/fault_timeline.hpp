@@ -4,12 +4,13 @@
 // machine m at t?" with a linear scan over every injected event, per
 // instance, per tick. That is fine for the three canned schedules but
 // quadratic-ish once chaos-mode generation produces thousands of events
-// per run. FaultTimeline keeps each event class sorted by start time and
-// advances a cursor as simulation time moves forward: events are activated
-// when their window opens (cursor walk over the sorted order) and retired
-// through a min-heap keyed on window end, so a tick pays O(events that
-// changed state this tick) instead of O(all events), and every query
-// against the *current* time is an array/map lookup.
+// per run. FaultTimeline keeps every event, of every kind, in one store
+// tagged by fault::FaultKind, sorted by start time in one stable order, and
+// advances one cursor as simulation time moves forward: events are
+// activated when their window opens (cursor walk over the sorted order)
+// and retired through one min-heap keyed on window end, so a tick pays
+// O(events that changed state this tick) instead of O(all events), and
+// every query against the *current* time is an array/map lookup.
 //
 // Exactness contract: the cursor answers are bit-identical to the linear
 // scans they replaced. In particular the slowdown factor is the product of
@@ -29,6 +30,8 @@
 #include <queue>
 #include <string>
 #include <vector>
+
+#include "fault/fault_host.hpp"
 
 namespace autra::sim {
 
@@ -57,9 +60,6 @@ class FaultTimeline {
     /// Machines whose down or slowdown state flipped this advance (may
     /// contain duplicates); empty after a rebuild.
     std::vector<std::size_t> machines;
-    [[nodiscard]] bool any() const noexcept {
-      return rebuilt || !machines.empty();
-    }
   };
 
   /// Moves the cursor to time `t` and reports which machine-affecting
@@ -100,26 +100,21 @@ class FaultTimeline {
     return num_machines_;
   }
   [[nodiscard]] std::size_t num_events() const noexcept {
-    return slow_.size() + down_.size() + stall_.size() + outage_.size() +
-           part_.size();
+    return events_.size();
   }
 
  private:
-  struct SlowEvent {
-    std::size_t machine;
-    double factor;
-    double from, until;
-  };
-  struct DownEvent {
-    std::size_t machine;
-    double from, until;
-  };
-  struct Window {
-    double from, until;
-  };
-  struct OutageEvent {
-    std::string service;
-    double from, until;
+  /// One registered window, tagged by kind (kSlowNode, kMachineDown,
+  /// kIngestStall, kServiceOutage or kNetworkPartition).
+  struct Event {
+    fault::FaultKind kind = fault::FaultKind::kMachineDown;
+    double from = 0.0;
+    double until = 0.0;
+    /// kSlowNode / kMachineDown: the machine; kNetworkPartition: the dense
+    /// partition index.
+    std::size_t index = 0;
+    double factor = 1.0;  ///< kSlowNode.
+    std::string service;  ///< kServiceOutage.
   };
 
   /// Min-heap of (window end, event index) — the retirement queue.
@@ -128,7 +123,16 @@ class FaultTimeline {
                           std::vector<std::pair<double, std::size_t>>,
                           std::greater<>>;
 
+  void add(Event event);
   void rebuild();
+  /// Applies event `idx`'s window opening (`open`) or closing to the
+  /// active state, recording machine flips in delta_.
+  void toggle(std::size_t idx, bool open);
+  /// True if event `e` has `kind` and its window holds `t`.
+  [[nodiscard]] static bool open_at(const Event& e, fault::FaultKind kind,
+                                    double t) noexcept {
+    return e.kind == kind && t >= e.from && t < e.until;
+  }
 
   std::size_t num_machines_;
   Delta delta_;  ///< Scratch filled by advance_to(); reused across calls.
@@ -136,20 +140,15 @@ class FaultTimeline {
   double cursor_time_ = 0.0;
   bool started_ = false;  ///< advance_to() has been called at least once.
 
-  std::vector<SlowEvent> slow_;
-  std::vector<DownEvent> down_;
-  std::vector<Window> stall_;
-  std::vector<OutageEvent> outage_;
-  std::vector<Window> part_;
+  /// Every event in insertion order.
+  std::vector<Event> events_;
+  std::size_t num_partitions_ = 0;
 
-  // Per class: indices sorted by `from` (stable), the activation cursor,
-  // and the retirement heap.
-  std::vector<std::size_t> slow_order_, down_order_, stall_order_,
-      outage_order_, part_order_;
-  std::size_t slow_next_ = 0, down_next_ = 0, stall_next_ = 0,
-              outage_next_ = 0, part_next_ = 0;
-  ExpiryHeap slow_expiry_, down_expiry_, stall_expiry_, outage_expiry_,
-      part_expiry_;
+  // Indices sorted by `from` (stable), the activation cursor, and the
+  // retirement heap.
+  std::vector<std::size_t> order_;
+  std::size_t next_ = 0;
+  ExpiryHeap expiry_;
 
   // Active state.
   std::vector<int> down_count_;  ///< Per machine.

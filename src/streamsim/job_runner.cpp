@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 namespace autra::sim {
 
@@ -15,24 +16,76 @@ double JobSpec::initial_rate() const {
   return schedule->rate_at(0.0);
 }
 
-std::unique_ptr<Engine> make_engine(const JobSpec& spec, const Parallelism& p,
-                                    double start_time,
-                                    std::uint64_t seed_salt) {
-  if (!spec.schedule) {
-    throw std::invalid_argument("make_engine: spec has no rate schedule");
-  }
+namespace {
+
+/// The one engine construction path: `spec`'s topology, cluster and
+/// external services over `kafka`, starting at `start_time` with the
+/// spec's seed offset by `seed_offset`.
+std::unique_ptr<Engine> build_engine(const JobSpec& spec, const Parallelism& p,
+                                     std::unique_ptr<KafkaLog> kafka,
+                                     double start_time,
+                                     std::uint64_t seed_offset) {
   EngineParams params = spec.engine;
   params.start_time = start_time;
-  params.seed += seed_salt * 7919;  // decorrelate reruns
-  auto engine = std::make_unique<Engine>(
-      spec.topology, Cluster(spec.cluster), p,
-      std::make_unique<KafkaLog>(spec.schedule), params);
+  params.seed += seed_offset;
+  auto engine = std::make_unique<Engine>(spec.topology, Cluster(spec.cluster),
+                                         p, std::move(kafka), params);
   for (const ExternalServiceSpec& svc : spec.services) {
     engine->add_external_service(
         ExternalService(svc.name, svc.max_calls_per_sec, svc.burst_sec,
                         svc.call_latency_ms));
   }
   return engine;
+}
+
+/// Registers one hosted fault event with `engine` (which validates it).
+/// A rack crash is every member machine down over the same window.
+void inject(Engine& engine, const fault::FaultEvent& e) {
+  switch (e.kind) {
+    case fault::FaultKind::kMachineDown:
+      engine.inject_machine_down(e.machine, e.at, e.end());
+      break;
+    case fault::FaultKind::kSlowNode:
+      engine.inject_slowdown(e.machine, e.magnitude, e.at, e.end());
+      break;
+    case fault::FaultKind::kServiceOutage:
+      engine.inject_service_outage(e.service, e.at, e.end());
+      break;
+    case fault::FaultKind::kIngestStall:
+      engine.inject_ingest_stall(e.at, e.end());
+      break;
+    case fault::FaultKind::kRackDown:
+      for (std::size_t m : e.machines) {
+        engine.inject_machine_down(m, e.at, e.end());
+      }
+      break;
+    case fault::FaultKind::kNetworkPartition:
+      engine.inject_network_partition(e.machines, e.at, e.end());
+      break;
+    case fault::FaultKind::kMetricDropout:
+    case fault::FaultKind::kMetricDelay:
+    case fault::FaultKind::kRescaleFailure:
+      throw std::invalid_argument(
+          "ScalingSession: not an engine-level fault");
+  }
+}
+
+bool is_crash(fault::FaultKind kind) noexcept {
+  return kind == fault::FaultKind::kMachineDown ||
+         kind == fault::FaultKind::kRackDown;
+}
+
+}  // namespace
+
+std::unique_ptr<Engine> make_engine(const JobSpec& spec, const Parallelism& p,
+                                    double start_time,
+                                    std::uint64_t seed_salt) {
+  if (!spec.schedule) {
+    throw std::invalid_argument("make_engine: spec has no rate schedule");
+  }
+  // seed_salt decorrelates reruns.
+  return build_engine(spec, p, std::make_unique<KafkaLog>(spec.schedule),
+                      start_time, seed_salt * 7919);
 }
 
 JobMetrics snapshot(const Engine& engine) {
@@ -79,6 +132,23 @@ JobMetrics JobRunner::measure(const Parallelism& p,
   return m;
 }
 
+runtime::Evaluator make_rerun_evaluator(
+    std::shared_ptr<const JobRunner> runner) {
+  struct Reruns {
+    std::mutex mu;
+    std::map<Parallelism, std::uint64_t> counts;
+  };
+  auto reruns = std::make_shared<Reruns>();
+  return [runner = std::move(runner), reruns](const Parallelism& p) {
+    std::uint64_t rerun = 0;
+    {
+      const std::lock_guard<std::mutex> lock(reruns->mu);
+      rerun = reruns->counts[p]++;
+    }
+    return runner->measure(p, runtime::trial_seed_salt(p) + rerun);
+  };
+}
+
 ScalingSession::ScalingSession(JobSpec spec, Parallelism initial,
                                SessionParams params)
     : spec_(std::move(spec)), params_(params) {
@@ -99,27 +169,20 @@ void ScalingSession::run_to(double until_sec) {
   // so the successor engine (faults re-applied) still sees the machines
   // down until they recover.
   for (;;) {
-    bool* pending = nullptr;
+    HostedFault* pending = nullptr;
     double restart_at = 0.0;
-    for (MachineDownFault& f : machine_down_faults_) {
-      const double at = f.from + f.detect;
-      if (f.restarted || at > target) continue;
+    for (HostedFault& f : faults_) {
+      if (!is_crash(f.event.kind) || f.restarted) continue;
+      const double at = f.event.at + f.event.detection_delay_sec;
+      if (at > target) continue;
       if (pending == nullptr || at < restart_at) {
-        pending = &f.restarted;
-        restart_at = at;
-      }
-    }
-    for (RackDownFault& f : rack_down_faults_) {
-      const double at = f.from + f.detect;
-      if (f.restarted || at > target) continue;
-      if (pending == nullptr || at < restart_at) {
-        pending = &f.restarted;
+        pending = &f;
         restart_at = at;
       }
     }
     if (pending == nullptr) break;
     engine_->run_until(std::max(restart_at, engine_->now()));
-    *pending = true;
+    pending->restarted = true;
     ++failure_restarts_;
     const Parallelism p = engine_->parallelism();
     rebuild_engine(p, params_.restart_downtime_sec);
@@ -175,19 +238,9 @@ void ScalingSession::rebuild_engine(const Parallelism& p, double downtime) {
       uplink_consumed_base_[r] += consumed[r];
     }
   }
-  std::unique_ptr<KafkaLog> kafka = engine_->release_kafka();
-
-  EngineParams params = spec_.engine;
-  params.start_time = t;
-  params.seed += ++reconfig_salt_ * 104729;
-  auto next = std::make_unique<Engine>(spec_.topology, Cluster(spec_.cluster),
-                                       p, std::move(kafka), params);
-  for (const ExternalServiceSpec& svc : spec_.services) {
-    next->add_external_service(
-        ExternalService(svc.name, svc.max_calls_per_sec, svc.burst_sec,
-                        svc.call_latency_ms));
-  }
-  apply_faults_to(*next);
+  auto next = build_engine(spec_, p, engine_->release_kafka(), t,
+                           ++reconfig_salt_ * 104729);
+  for (const HostedFault& f : faults_) inject(*next, f.event);
   next->set_external_metrics(&history_);
   // Co-tenant interference survives the rebuild too (empty vectors are
   // no-ops, so the single-tenant path is untouched).
@@ -202,89 +255,26 @@ void ScalingSession::rebuild_engine(const Parallelism& p, double downtime) {
   ++restarts_;
 }
 
-void ScalingSession::apply_faults_to(Engine& engine) const {
-  for (const MachineDownFault& f : machine_down_faults_) {
-    engine.inject_machine_down(f.machine, f.from, f.until);
+void ScalingSession::host_fault(const fault::FaultEvent& e) {
+  if (is_crash(e.kind) && e.detection_delay_sec < 0.0) {
+    throw std::invalid_argument(
+        "ScalingSession: negative crash detection delay");
   }
-  for (const SlowNodeFault& f : slow_node_faults_) {
-    engine.inject_slowdown(f.machine, f.factor, f.from, f.until);
-  }
-  for (const ServiceOutageFault& f : service_outage_faults_) {
-    engine.inject_service_outage(f.service, f.from, f.until);
-  }
-  for (const StallFault& f : stall_faults_) {
-    engine.inject_ingest_stall(f.from, f.until);
-  }
-  for (const RackDownFault& f : rack_down_faults_) {
-    for (std::size_t m : f.machines) {
-      engine.inject_machine_down(m, f.from, f.until);
+  // Validate a rack group before touching the engine so a bad group
+  // leaves no partial crash behind.
+  if (e.kind == fault::FaultKind::kRackDown) {
+    if (e.machines.empty() || e.end() <= e.at) {
+      throw std::invalid_argument("ScalingSession: bad rack-down group");
+    }
+    for (std::size_t m : e.machines) {
+      if (m >= engine_->cluster().num_machines()) {
+        throw std::invalid_argument(
+            "ScalingSession: bad rack-down machine index");
+      }
     }
   }
-  for (const PartitionFault& f : partition_faults_) {
-    engine.inject_network_partition(f.island, f.from, f.until);
-  }
-}
-
-void ScalingSession::host_machine_down(std::size_t machine, double from_sec,
-                                       double until_sec,
-                                       double detection_delay_sec) {
-  if (detection_delay_sec < 0.0) {
-    throw std::invalid_argument(
-        "ScalingSession: negative machine-down detection delay");
-  }
-  engine_->inject_machine_down(machine, from_sec, until_sec);  // validates
-  machine_down_faults_.push_back(
-      {machine, from_sec, until_sec, detection_delay_sec, false});
-}
-
-void ScalingSession::host_slow_node(std::size_t machine, double speed_factor,
-                                    double from_sec, double until_sec) {
-  engine_->inject_slowdown(machine, speed_factor, from_sec,
-                           until_sec);  // validates
-  slow_node_faults_.push_back({machine, speed_factor, from_sec, until_sec});
-}
-
-void ScalingSession::host_service_outage(const std::string& service,
-                                         double from_sec, double until_sec) {
-  engine_->inject_service_outage(service, from_sec, until_sec);  // validates
-  service_outage_faults_.push_back({service, from_sec, until_sec});
-}
-
-void ScalingSession::host_ingest_stall(double from_sec, double until_sec) {
-  engine_->inject_ingest_stall(from_sec, until_sec);  // validates
-  stall_faults_.push_back({from_sec, until_sec});
-}
-
-void ScalingSession::host_rack_down(const std::vector<std::size_t>& machines,
-                                    double from_sec, double until_sec,
-                                    double detection_delay_sec) {
-  if (detection_delay_sec < 0.0) {
-    throw std::invalid_argument(
-        "ScalingSession: negative rack-down detection delay");
-  }
-  // Validate everything before touching the engine so a bad group leaves
-  // no partial crash behind.
-  if (machines.empty() || until_sec <= from_sec) {
-    throw std::invalid_argument("ScalingSession::host_rack_down: bad group");
-  }
-  for (std::size_t m : machines) {
-    if (m >= engine_->cluster().num_machines()) {
-      throw std::invalid_argument(
-          "ScalingSession::host_rack_down: bad machine index");
-    }
-  }
-  for (std::size_t m : machines) {
-    engine_->inject_machine_down(m, from_sec, until_sec);
-  }
-  rack_down_faults_.push_back(
-      {machines, from_sec, until_sec, detection_delay_sec, false});
-}
-
-void ScalingSession::host_network_partition(
-    const std::vector<std::size_t>& island, double from_sec,
-    double until_sec) {
-  engine_->inject_network_partition(island, from_sec, until_sec);  // validates
-  partition_faults_.push_back({island, from_sec, until_sec});
+  inject(*engine_, e);  // validates
+  faults_.push_back({e, false});
 }
 
 JobMetrics ScalingSession::window_metrics() const {
@@ -308,23 +298,7 @@ runtime::Evaluator SimTrialService::evaluator_at(double rate,
   auto runner = std::make_shared<JobRunner>(
       std::move(trial_spec),
       RunnerParams{.warmup_sec = warmup_sec, .measure_sec = measure_sec});
-  // Noise seeds derive from the configuration itself (plus a mutex-guarded
-  // rerun counter), never from a shared call counter: concurrent or
-  // reordered evaluations see the same noise a serial run would, which the
-  // TrialService contract requires for thread-count-independent decisions.
-  struct Reruns {
-    std::mutex mu;
-    std::map<Parallelism, std::uint64_t> counts;
-  };
-  auto reruns = std::make_shared<Reruns>();
-  return [runner, reruns](const Parallelism& p) {
-    std::uint64_t rerun = 0;
-    {
-      const std::lock_guard<std::mutex> lock(reruns->mu);
-      rerun = reruns->counts[p]++;
-    }
-    return runner->measure(p, runtime::trial_seed_salt(p) + rerun);
-  };
+  return make_rerun_evaluator(std::move(runner));
 }
 
 int SimTrialService::max_parallelism() const {

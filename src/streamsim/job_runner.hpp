@@ -88,12 +88,6 @@ class JobRunner {
   [[nodiscard]] std::size_t num_operators() const noexcept {
     return spec_.topology.num_operators();
   }
-  [[nodiscard]] double warmup_sec() const noexcept {
-    return params_.warmup_sec;
-  }
-  [[nodiscard]] double measure_sec() const noexcept {
-    return params_.measure_sec;
-  }
 
   /// Total evaluations performed so far (each is one job restart in the
   /// paper's terms — the cost the transfer-learning method saves).
@@ -106,6 +100,17 @@ class JobRunner {
   RunnerParams params_;
   mutable std::atomic<int> evaluations_{0};
 };
+
+/// Evaluator over `runner`'s fresh-start measurements. Each call's noise
+/// salt is runtime::trial_seed_salt(p) plus a mutex-guarded per-config
+/// rerun counter — never a shared call counter — so repeated evaluations
+/// differ like real reruns while concurrent or reordered calls see the
+/// noise a serial run would (the const-thread-safety contract of
+/// runtime::TrialService). The evaluator shares ownership of `runner`; a
+/// caller that guarantees the runner outlives it may pass a non-owning
+/// (aliasing) pointer.
+[[nodiscard]] runtime::Evaluator make_rerun_evaluator(
+    std::shared_ptr<const JobRunner> runner);
 
 /// How a reconfiguration is applied (backend-neutral runtime type).
 using RescaleMode = runtime::RescaleMode;
@@ -124,7 +129,7 @@ struct SessionParams {
 /// simulator's implementation of the backend-agnostic runtime interface.
 ///
 /// Also a fault::FaultHost: engine-level fault events registered through
-/// the host_* methods survive every engine rebuild (reconfigurations and
+/// host_fault survive every engine rebuild (reconfigurations and
 /// failure restarts re-apply them to the successor engine), and a machine
 /// crash forces a framework-style restart `detection_delay_sec` after the
 /// crash instant — full restart downtime, Kafka lag accumulating
@@ -189,61 +194,16 @@ class ScalingSession final : public runtime::StreamingBackend,
   /// unconstrained.
   [[nodiscard]] std::vector<double> uplink_consumed_records() const;
 
-  // fault::FaultHost — events are kept on the session so they survive
-  // engine rebuilds. All may be called at any time; events entirely in the
-  // past are retained but unobservable.
-  void host_machine_down(std::size_t machine, double from_sec,
-                         double until_sec,
-                         double detection_delay_sec) override;
-  void host_slow_node(std::size_t machine, double speed_factor,
-                      double from_sec, double until_sec) override;
-  void host_service_outage(const std::string& service, double from_sec,
-                           double until_sec) override;
-  void host_ingest_stall(double from_sec, double until_sec) override;
-  void host_rack_down(const std::vector<std::size_t>& machines,
-                      double from_sec, double until_sec,
-                      double detection_delay_sec) override;
-  void host_network_partition(const std::vector<std::size_t>& island,
-                              double from_sec, double until_sec) override;
+  /// fault::FaultHost — events are kept on the session so they survive
+  /// engine rebuilds. May be called at any time; events entirely in the
+  /// past are retained but unobservable.
+  void host_fault(const fault::FaultEvent& event) override;
 
  private:
-  struct MachineDownFault {
-    std::size_t machine = 0;
-    double from = 0.0;
-    double until = 0.0;
-    double detect = 0.0;      ///< Detection delay after `from`, seconds.
-    bool restarted = false;   ///< Forced restart already performed.
+  struct HostedFault {
+    fault::FaultEvent event;
+    bool restarted = false;  ///< Crash: forced restart already performed.
   };
-  struct SlowNodeFault {
-    std::size_t machine = 0;
-    double factor = 1.0;
-    double from = 0.0;
-    double until = 0.0;
-  };
-  struct ServiceOutageFault {
-    std::string service;
-    double from = 0.0;
-    double until = 0.0;
-  };
-  struct StallFault {
-    double from = 0.0;
-    double until = 0.0;
-  };
-  struct RackDownFault {
-    std::vector<std::size_t> machines;
-    double from = 0.0;
-    double until = 0.0;
-    double detect = 0.0;     ///< Shared detection delay, seconds.
-    bool restarted = false;  ///< One forced restart for the whole group.
-  };
-  struct PartitionFault {
-    std::vector<std::size_t> island;
-    double from = 0.0;
-    double until = 0.0;
-  };
-
-  /// Registers every stored fault event with a (possibly fresh) engine.
-  void apply_faults_to(Engine& engine) const;
 
   /// Replaces the engine with a successor at the same wall clock: Kafka log
   /// carried over, seed re-salted, faults re-applied, `downtime` seconds of
@@ -262,20 +222,14 @@ class ScalingSession final : public runtime::StreamingBackend,
   std::vector<double> external_uplink_load_;
   /// Uplink records consumed by engines already torn down.
   std::vector<double> uplink_consumed_base_;
-  std::vector<MachineDownFault> machine_down_faults_;
-  std::vector<SlowNodeFault> slow_node_faults_;
-  std::vector<ServiceOutageFault> service_outage_faults_;
-  std::vector<StallFault> stall_faults_;
-  std::vector<RackDownFault> rack_down_faults_;
-  std::vector<PartitionFault> partition_faults_;
+  /// Hosted engine-level faults in delivery (schedule) order: slowdown
+  /// factors multiply, and partition indices are assigned, in this order.
+  std::vector<HostedFault> faults_;
 };
 
 /// The simulator's Plan-stage trial provider: every evaluator_at() call
-/// wraps a fresh-start JobRunner pinned at a constant rate. Noise salts
-/// are derived per configuration (plus a rerun counter), so repeated
-/// trials differ like real reruns while concurrent evaluations stay
-/// order-independent — the returned evaluator satisfies the
-/// const-thread-safety contract of runtime::TrialService.
+/// is a make_rerun_evaluator over a fresh-start JobRunner pinned at a
+/// constant rate.
 class SimTrialService final : public runtime::TrialService {
  public:
   explicit SimTrialService(JobSpec spec);

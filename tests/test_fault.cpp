@@ -347,24 +347,161 @@ TEST(FaultHost, SlowNodeAndIngestStallAreTransient) {
 }
 
 TEST(FaultHost, FaultsSurviveReconfiguration) {
-  sim::JobSpec spec = chain_spec(50000.0);
-  fault::FaultSchedule sched;
-  sched.slow_node(0, 0.2, 100.0, 100.0);
-  sim::ScalingSession session(spec, {1, 1, 1});
-  fault::FaultInjectingBackend faulted(session, sched);
+  // Every engine-level kind is hosted on the first engine, then the engine
+  // is rebuilt by a reconfigure before the fault window opens: the
+  // successor engine must still show the fault's effect.
+  const sim::JobSpec spec = chain_spec(50000.0);
 
-  faulted.run_for(30.0);
-  faulted.reconfigure({2, 2, 2});  // engine rebuilt before the fault starts
-  faulted.run_for(30.0);
+  {  // Slow node: degraded throughput.
+    fault::FaultSchedule sched;
+    sched.slow_node(0, 0.2, 100.0, 100.0);
+    sim::ScalingSession session(spec, {1, 1, 1});
+    fault::FaultInjectingBackend faulted(session, sched);
+    faulted.run_for(30.0);
+    faulted.reconfigure({2, 1, 1});  // downstream still only on machine 0
+    faulted.run_for(30.0);
 
-  faulted.reset_window();
-  faulted.run_for(60.0);  // 60..120 straddles the fault start
-  const double early = faulted.window_metrics().throughput;
+    faulted.reset_window();
+    faulted.run_for(35.0);  // 60..95, healthy
+    const double before = faulted.window_metrics().throughput;
 
-  faulted.reset_window();
-  faulted.run_for(60.0);  // fully inside the slow-node window
-  const double during = faulted.window_metrics().throughput;
-  EXPECT_LT(during, early);  // the successor engine still sees the fault
+    faulted.run_for(10.0);
+    faulted.reset_window();
+    faulted.run_for(90.0);  // 105..195, inside the slow-node window
+    EXPECT_LT(faulted.window_metrics().throughput, 0.75 * before);
+    EXPECT_EQ(session.restarts(), 1);  // degradation, not a crash
+  }
+
+  {  // Machine down: the crash still takes the machine out and forces a
+     // restart after the rebuild.
+    fault::FaultSchedule sched;
+    sched.machine_down(0, 120.0, 120.0, 10.0);
+    sim::ScalingSession session(spec, {1, 1, 1});
+    fault::FaultInjectingBackend faulted(session, sched);
+    faulted.run_for(30.0);
+    faulted.reconfigure({2, 1, 1});  // downstream still only on machine 0
+    faulted.run_for(60.0);
+
+    faulted.reset_window();
+    faulted.run_for(25.0);  // 90..115, healthy
+    const double before = faulted.window_metrics().throughput;
+    EXPECT_EQ(session.failure_restarts(), 0);
+
+    faulted.run_for(35.0);  // crash at 120, detected at 130
+    EXPECT_EQ(session.failure_restarts(), 1);
+    EXPECT_EQ(session.restarts(), 2);
+    faulted.reset_window();
+    faulted.run_for(80.0);  // 150..230, restarted but machine 0 still down
+    EXPECT_LT(faulted.window_metrics().throughput, 0.35 * before);
+  }
+
+  {  // Rack down: the group is out, and costs one forced restart.
+    fault::FaultSchedule sched;
+    sched.rack_down({0, 1}, 120.0, 120.0, 10.0);
+    sim::ScalingSession session(spec, {2, 2, 2});
+    fault::FaultInjectingBackend faulted(session, sched);
+    faulted.run_for(30.0);
+    faulted.reconfigure({2, 2, 3});  // the source still lives on the rack
+    faulted.run_for(60.0);
+
+    faulted.reset_window();
+    faulted.run_for(25.0);  // 90..115, healthy
+    const double before = faulted.window_metrics().throughput;
+
+    faulted.run_for(35.0);
+    EXPECT_EQ(session.failure_restarts(), 1);  // one, not one per machine
+    EXPECT_EQ(session.restarts(), 2);
+    faulted.reset_window();
+    faulted.run_for(80.0);  // 150..230, the rack still down
+    EXPECT_LT(faulted.window_metrics().throughput, 0.35 * before);
+  }
+
+  {  // Network partition: cross-cut edges stop, throughput collapses.
+    fault::FaultSchedule sched;
+    sched.network_partition({1}, 120.0, 120.0);
+    sim::ScalingSession session(spec, {2, 1, 1});
+    fault::FaultInjectingBackend faulted(session, sched);
+    faulted.run_for(30.0);
+    faulted.reconfigure({2, 2, 1});
+    faulted.run_for(60.0);
+
+    faulted.reset_window();
+    faulted.run_for(25.0);  // 90..115, healthy
+    const double before = faulted.window_metrics().throughput;
+    EXPECT_GT(before, 0.0);
+
+    faulted.run_for(5.0);
+    faulted.reset_window();
+    faulted.run_for(120.0);  // the whole partition window
+    EXPECT_LT(faulted.window_metrics().throughput, 0.6 * before);
+    EXPECT_EQ(session.failure_restarts(), 0);  // a cut is not a crash
+  }
+
+  {  // Ingest stall: sources consume nothing, so lag grows at the rate.
+    fault::FaultSchedule sched;
+    sched.ingest_stall(120.0, 30.0);
+    sim::ScalingSession session(spec, {1, 1, 1});
+    fault::FaultInjectingBackend faulted(session, sched);
+    faulted.run_for(30.0);
+    faulted.reconfigure({2, 2, 2});
+    faulted.run_for(89.0);  // t = 119, just before the stall
+    const double lag_before = faulted.window_metrics().kafka_lag;
+
+    faulted.run_for(29.0);  // t = 148, inside [120, 150)
+    // ~28 s of 50k/s piled up with nothing consumed.
+    EXPECT_GT(faulted.window_metrics().kafka_lag, lag_before + 1e6);
+  }
+
+  {  // Service outage: a dark Redis throttles yahoo's sink.
+    sim::JobSpec yahoo = workloads::yahoo_streaming(
+        std::make_shared<sim::ConstantRate>(20000.0));
+    yahoo.engine.measurement_noise = 0.0;
+    const std::size_t ops = yahoo.topology.num_operators();
+    fault::FaultSchedule sched;
+    sched.service_outage(workloads::kYahooRedisService, 120.0, 60.0);
+    sim::ScalingSession session(yahoo, sim::Parallelism(ops, 1));
+    fault::FaultInjectingBackend faulted(session, sched);
+    faulted.run_for(30.0);
+    faulted.reconfigure(sim::Parallelism(ops, 2));
+    faulted.run_for(30.0);
+
+    faulted.reset_window();
+    faulted.run_for(55.0);  // 60..115, healthy
+    const double before = faulted.window_metrics().throughput;
+    EXPECT_GT(before, 0.0);
+
+    faulted.run_for(5.0);
+    faulted.reset_window();
+    faulted.run_for(60.0);  // the outage window
+    EXPECT_LT(faulted.window_metrics().throughput, 0.5 * before);
+  }
+}
+
+TEST(FaultHost, HostFaultRejectsEventsItCannotApply) {
+  // p = 1 places every operator on machine 0.
+  sim::ScalingSession session(chain_spec(50000.0), {1, 1, 1});
+  fault::FaultEvent e;
+  e.at = 10.0;
+  e.duration = 50.0;
+
+  e.kind = fault::FaultKind::kMetricDropout;  // the decorator's own path
+  EXPECT_THROW(session.host_fault(e), std::invalid_argument);
+
+  e.kind = fault::FaultKind::kMachineDown;
+  e.detection_delay_sec = -1.0;
+  EXPECT_THROW(session.host_fault(e), std::invalid_argument);
+
+  // A rack group with one bad member is rejected whole: machine 0 is not
+  // left crashed behind it, and nothing forces a restart later.
+  e.kind = fault::FaultKind::kRackDown;
+  e.detection_delay_sec = 1.0;
+  e.machines = {0, 99};
+  EXPECT_THROW(session.host_fault(e), std::invalid_argument);
+  session.run_for(15.0);
+  session.reset_window();
+  session.run_for(40.0);  // inside the rejected window [10, 60)
+  EXPECT_NEAR(session.window_metrics().throughput, 50000.0, 2500.0);
+  EXPECT_EQ(session.restarts(), 0);
 }
 
 TEST(FaultHost, RackCrashCostsOneRestartForTheGroup) {

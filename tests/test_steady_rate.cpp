@@ -3,6 +3,8 @@
 
 #include "workloads/workloads.hpp"
 
+#include <atomic>
+
 #include <gtest/gtest.h>
 
 namespace autra::core {
@@ -187,7 +189,8 @@ TEST(RunSteadyRate, BudgetExhaustionReturnsBestLatencyCompliant) {
 }
 
 TEST(RunSteadyRate, HistoryRecordsEverySample) {
-  int evals = 0;
+  // The bootstrap fan-out calls the evaluator from pool threads.
+  std::atomic<int> evals{0};
   const Evaluator eval = [&](const Parallelism& p) {
     ++evals;
     JobMetrics m;
@@ -200,8 +203,8 @@ TEST(RunSteadyRate, HistoryRecordsEverySample) {
   SteadyRateParams params = base_params();
   params.max_evaluations = 10;
   const SteadyRateResult r = run_steady_rate(eval, {1, 1}, params);
-  EXPECT_EQ(static_cast<int>(r.history.size()), evals);
-  EXPECT_EQ(r.bootstrap_evaluations + r.bo_iterations, evals);
+  EXPECT_EQ(static_cast<int>(r.history.size()), evals.load());
+  EXPECT_EQ(r.bootstrap_evaluations + r.bo_iterations, evals.load());
 }
 
 TEST(RecommendNext, StaysInsideSpace) {
